@@ -24,6 +24,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.sim import Simulator
 from repro.types import HOUR
+from repro.workload.zipf import ZipfSampler
 
 __all__ = ["KernelReport", "run_kernels", "time_best"]
 
@@ -44,13 +45,15 @@ class KernelReport:
 
     event_queue: dict[str, float] = field(default_factory=dict)
     flood_search: dict[str, float] = field(default_factory=dict)
-    delay_matrix: dict[str, float] = field(default_factory=dict)
+    sample_distinct: dict[str, float] = field(default_factory=dict)
+    pair_draw: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "event_queue": self.event_queue,
             "flood_search_default": self.flood_search,
-            "delay_matrix_build": self.delay_matrix,
+            "sample_distinct": self.sample_distinct,
+            "keyed_pair_draw": self.pair_draw,
         }
 
 
@@ -84,7 +87,7 @@ def _bench_flood_search(
 
     The overlay is grown by an actual (small) engine run under the default
     flood configuration, so the degree distribution, holder placement and
-    delay matrix are exactly what production queries see.
+    delay rows are exactly what production queries see.
     """
     from repro.gnutella.config import GnutellaConfig
     from repro.gnutella.fast import FastGnutellaEngine
@@ -134,15 +137,49 @@ def _bench_flood_search(
     }
 
 
-def _bench_delay_matrix(report: KernelReport, n_users: int = 600) -> None:
-    def run() -> None:
-        bandwidth = BandwidthModel(n_users, np.random.default_rng(0))
-        latency = LatencyModel(bandwidth, np.random.default_rng(1))
-        latency.delay_matrix()
+def _bench_sample_distinct(
+    report: KernelReport, n: int = 4000, k: int = 100, calls: int = 2000
+) -> None:
+    """One library draw: ``k`` distinct Zipf(0.9) songs from an ``n``-song genre.
 
-    report.delay_matrix = {
+    The paper's genre size and a favorite-genre share of a 200-song library:
+    the call world construction makes six times per user.
+    """
+    sampler = ZipfSampler(n, 0.9)
+
+    def run() -> None:
+        rng = np.random.default_rng(0)
+        for _ in range(calls):
+            sampler.sample_distinct(rng, k)
+
+    seconds = time_best(run)
+    report.sample_distinct = {
+        "n": float(n),
+        "k": float(k),
+        "calls": float(calls),
+        "seconds": seconds,
+        "calls_per_sec": calls / seconds,
+    }
+
+
+def _bench_pair_draw(report: KernelReport, n_users: int = 2000, pairs: int = 20_000) -> None:
+    """First touches of distinct node pairs: the keyed draw plus its caching."""
+    bandwidth = BandwidthModel(n_users, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    touched = list(zip(rng.integers(0, n_users, pairs).tolist(),
+                       rng.integers(0, n_users, pairs).tolist()))
+
+    def run() -> None:
+        delay = LatencyModel(bandwidth, np.random.default_rng(2)).one_way_delay
+        for a, b in touched:
+            delay(a, b)
+
+    seconds = time_best(run)
+    report.pair_draw = {
         "n_users": float(n_users),
-        "seconds": time_best(run),
+        "pairs": float(pairs),
+        "seconds": seconds,
+        "pairs_per_sec": pairs / seconds,
     }
 
 
@@ -154,6 +191,8 @@ def run_kernels(log: Callable[[str], None] | None = None) -> KernelReport:
     _bench_event_queue(report)
     say("kernel: flood search fast path vs reference ...")
     _bench_flood_search(report)
-    say("kernel: delay matrix build ...")
-    _bench_delay_matrix(report)
+    say("kernel: library draw (sample_distinct) ...")
+    _bench_sample_distinct(report)
+    say("kernel: keyed pair delay draw ...")
+    _bench_pair_draw(report)
     return report

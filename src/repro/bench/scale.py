@@ -5,8 +5,10 @@ The kernel and figure benches (:mod:`repro.bench.kernels`,
 measures the ROADMAP's scaling goal directly: short-horizon micro-runs of
 the full dynamic engine at 10k / 50k / 100k users, reporting per-tier
 wall-clock split (setup vs run), kernel events per second, and peak RSS —
-the numbers that tell you whether the struct-of-arrays core and the lazy
-delay regime actually hold up, not just whether they pass tests.
+the numbers that tell you whether the struct-of-arrays core and the keyed
+delay draws actually hold up, not just whether they pass tests. Setup is
+split into its phases (libraries, delays, holder index, overlay bootstrap),
+so a moved setup number names the phase that moved it.
 
 Tier configs scale the catalog with the population (items = 20 x users)
 so per-song replication stays constant (~2.5 copies), keeping query-hit
@@ -15,10 +17,10 @@ enough to cover login storms, reconfiguration churn, and steady-state
 querying, short enough that a 100k tier finishes in minutes.
 
 Each tier can also run the digest gate at its own scale: a hashed ``fast``
-run against a hashed ``fast-reference`` run. Above the lazy-delay threshold
-both regimes draw per-pair delays with order-independent keyed streams
-(:mod:`repro.net.latency`), which is exactly what keeps this gate valid
-where the O(n^2) matrix cannot exist. The reference engine is a constant
+run against a hashed ``fast-reference`` run. Both draw per-pair delays as
+pure functions of ``(seed, pair)`` (:mod:`repro.net.latency`), whatever
+order they touch pairs in, which is what keeps this gate valid at every
+population size. The reference engine is a constant
 factor slower, so the gate defaults to the 10k tier and below
 (``digest_max_users``); larger tiers report timing only.
 
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.gnutella.config import GnutellaConfig
@@ -94,6 +97,11 @@ class ScaleTierReport:
     higher-is-better, ``peak_rss_mb`` lower-is-better; the remaining fields
     are workload parameters / deterministic outcomes (same seed => same
     values), which the comparator requires to match between snapshots.
+
+    ``setup_seconds`` is building the engine plus the overlay bootstrap
+    (the time-zero login storm, in which every initially online peer fills
+    its neighbour slots); ``run_seconds`` is the rest of the horizon, and
+    ``events_per_sec`` counts only the events executed in it.
     """
 
     n_users: int
@@ -116,6 +124,11 @@ class ScaleTierReport:
     #: the events/s ceiling actually sits. Nested, so the comparator treats
     #: it as neither parameter nor judged metric.
     event_types: dict[str, dict[str, float | int]] | None = None
+    #: Setup seconds by phase: ``libraries``, ``delays``, ``holder_index``,
+    #: ``overlay_bootstrap`` and ``other`` (the rest of engine construction:
+    #: peer arrays, churn schedules, bandwidth classes). They sum to
+    #: ``setup_seconds``. Nested, so reported but not judged.
+    setup_phases: dict[str, float] | None = None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready rendering for the snapshot's ``scale`` block."""
@@ -137,7 +150,48 @@ class ScaleTierReport:
             out["fast_digest"] = self.fast_digest
         if self.event_types is not None:
             out["event_types"] = self.event_types
+        if self.setup_phases is not None:
+            out["setup_phases"] = self.setup_phases
         return out
+
+
+@contextmanager
+def _world_phase_clock(phases: dict[str, float]) -> Iterator[None]:
+    """Add the wall time of each world-construction phase run inside the block.
+
+    Wraps, for the block's duration, the three builders the engine calls:
+    the library generator (bound by name in :mod:`repro.gnutella.fast`),
+    the latency model and the fast path's holder index. Timing only: the
+    wrapped builders run unchanged.
+    """
+    import repro.gnutella.fast as fast_module
+    from repro.core.fastpath import HolderIndex
+    from repro.net.latency import LatencyModel
+
+    targets = (
+        (fast_module, "generate_libraries", "libraries"),
+        (LatencyModel, "__init__", "delays"),
+        (HolderIndex, "__init__", "holder_index"),
+    )
+    originals = [getattr(owner, attr) for owner, attr, _ in targets]
+
+    def timed(builder: Callable[..., Any], phase: str) -> Callable[..., Any]:
+        def run_timed(*args: Any, **kwargs: Any) -> Any:
+            t0 = time.perf_counter()
+            try:
+                return builder(*args, **kwargs)
+            finally:
+                phases[phase] = phases.get(phase, 0.0) + time.perf_counter() - t0
+
+        return run_timed
+
+    for (owner, attr, phase), builder in zip(targets, originals):
+        setattr(owner, attr, timed(builder, phase))
+    try:
+        yield
+    finally:
+        for (owner, attr, _), builder in zip(targets, originals):
+            setattr(owner, attr, builder)
 
 
 def run_scale_tier(
@@ -166,23 +220,37 @@ def run_scale_tier(
 
     config = scale_config(n_users, seed)
     counters = EventTypeCounters()
+    phases: dict[str, float] = {"libraries": 0.0, "delays": 0.0, "holder_index": 0.0}
     t0 = time.perf_counter()
-    eng = build_engine(config, engine)
+    with _world_phase_clock(phases):
+        eng = build_engine(config, engine)
     eng.sim.perf = counters
     if getattr(eng, "_fastpath", None) is not None:
         eng._fastpath.perf = counters
     t1 = time.perf_counter()
-    metrics = eng.run()
+    # The overlay bootstrap: the time-zero logins fill every initially
+    # online peer's neighbour slots. Advancing in chunks executes the same
+    # event sequence as one run to the horizon.
+    eng.start()
+    eng.sim.run(until=0.0)
+    bootstrap_events = eng.sim.events_executed
     t2 = time.perf_counter()
-    setup_seconds = t1 - t0
-    run_seconds = t2 - t1
+    eng.advance(config.horizon)
+    t3 = time.perf_counter()
+    metrics = eng.metrics
+    phases["overlay_bootstrap"] = t2 - t1
+    phases["other"] = (t1 - t0) - phases["libraries"] - phases["delays"] - phases["holder_index"]
+    setup_seconds = t2 - t0
+    run_seconds = t3 - t2
     events = eng.sim.events_executed
+    run_events = events - bootstrap_events
     peak_rss = _peak_rss_mb()
     if log is not None:
         log(
-            f"scale {n_users}: setup {setup_seconds:.1f}s, run {run_seconds:.1f}s, "
-            f"{events} events ({events / run_seconds:.0f}/s), "
-            f"peak RSS {peak_rss:.0f} MiB"
+            f"scale {n_users}: setup {setup_seconds:.1f}s "
+            f"({', '.join(f'{k} {v:.2f}s' for k, v in phases.items())}), "
+            f"run {run_seconds:.1f}s, {events} events "
+            f"({run_events / run_seconds:.0f}/s), peak RSS {peak_rss:.0f} MiB"
         )
         for label, n, seconds, per_sec in counters.rows(EVENT_TYPE_ROWS):
             log(
@@ -214,13 +282,14 @@ def run_scale_tier(
         run_seconds=run_seconds,
         wall_seconds=setup_seconds + run_seconds,
         events_executed=events,
-        events_per_sec=events / run_seconds if run_seconds > 0 else 0.0,
+        events_per_sec=run_events / run_seconds if run_seconds > 0 else 0.0,
         queries=metrics.total_queries,
         hits=metrics.total_hits,
         peak_rss_mb=peak_rss,
         digest_match=digest_match,
         fast_digest=fast_digest,
         event_types=event_types,
+        setup_phases=phases,
     )
 
 

@@ -35,9 +35,10 @@ with these structural replacements:
   hop level, which is the bulk of a flood and never forwards, collapses to
   a single C-level ``set.intersection`` over the level slice instead of a
   Python-level loop;
-* **precomputed delay rows** (:meth:`~repro.net.latency.LatencyModel.
-  delay_rows`): each result's path delay is reconstructed by plain
-  list-of-lists indexing instead of a method call per path edge.
+* **delay rows** (:meth:`~repro.net.latency.LatencyModel.delay_rows`):
+  each result's path delay is reconstructed by plain ``rows[a][b]``
+  indexing (per-node dicts of the pairs drawn so far) instead of a method
+  call per path edge.
 
 The reference :func:`~repro.core.search.generic_search` stays the semantics
 oracle. The fast path is an optimization, not a semantics change: for every
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -226,7 +227,7 @@ class FloodFastPath:
         self,
         adjacency: AdjacencySnapshot | NeighborTable,
         holdings: Sequence[set[ItemId]] | HolderIndex,
-        delay_rows: Sequence[Sequence[float]],
+        delay_rows: Sequence[Mapping[NodeId, float]] | Sequence[Sequence[float]],
         max_hops: int,
     ) -> None:
         n = len(adjacency)

@@ -60,10 +60,8 @@ class DetailedGnutellaEngine(FastGnutellaEngine):
                 "the detailed engine implements the paper's flood protocol only; "
                 f"got search_strategy={config.search_strategy!r} (use the fast engine)"
             )
-        # The message-level data path never touches the flood fast path, and
-        # lazy first-touch latency sampling is part of this engine's
-        # historical draw order — keep both off.
-        super().__init__(config, use_fastpath=False, eager_delay_matrix=False)
+        # The message-level data path never touches the flood fast path.
+        super().__init__(config, use_fastpath=False)
         loss_rng = None
         if config.message_loss_rate > 0.0:
             from repro.rng import RngStreams

@@ -92,17 +92,6 @@ class FastGnutellaEngine:
         therefore same-seed event-stream digests — are bit-identical either
         way, which the digest-equality tests and the ``repro-bench`` CI gate
         assert.
-    eager_delay_matrix:
-        Build the full pairwise delay matrix up front (one canonical
-        vectorized draw; see :meth:`repro.net.latency.LatencyModel.
-        delay_matrix`). Required by (and forced on by) the fast path; kept
-        on for the reference mode so ``fast`` and ``fast-reference`` runs
-        observe identical per-pair floats. The detailed engine turns it off
-        to preserve its historical lazy first-touch sampling. Above
-        :data:`~repro.net.latency.LAZY_DELAY_NODE_THRESHOLD` nodes the
-        latency model refuses to materialize the O(n^2) matrix and
-        ``delay_rows()`` transparently returns a lazy per-pair view — the
-        flag is then effectively ignored.
     soa:
         Keep the per-node hot state (online flags, counters, neighbor rows)
         in the flat struct-of-arrays slabs of :mod:`repro.core.soa` instead
@@ -119,7 +108,6 @@ class FastGnutellaEngine:
         config: GnutellaConfig,
         *,
         use_fastpath: bool = True,
-        eager_delay_matrix: bool = True,
         soa: bool = True,
     ) -> None:
         self.config = config
@@ -188,18 +176,6 @@ class FastGnutellaEngine:
         self.live_libraries: list[set] = [set(lib) for lib in self.libraries.libraries]
         self.view = _QueryView(self.peers, self.live_libraries, self.latency)
         self.termination = TTLTermination(config.max_hops)
-        # Delays are static per run, so materialize the full pairwise matrix
-        # up front (one canonical vectorized draw). Built for the reference
-        # mode too — not only when the fast path engages — so a ``fast`` and
-        # a ``fast-reference`` run of the same config observe the exact same
-        # per-pair floats, which is what makes their event-stream digests
-        # bit-identical. Above the lazy threshold ``delay_rows()`` returns a
-        # per-pair lazy view instead of the O(n^2) matrix; the keyed draws
-        # behind it are touch-order independent, so the fast/fast-reference
-        # pairing survives at scale too.
-        self._delay_rows = None
-        if eager_delay_matrix:
-            self._delay_rows = self.latency.delay_rows()
         # Compact inverted holder index, built lazily on the first fast-path
         # bind and shared across rebinds (downloads keep mutating one index).
         self._holder_index: HolderIndex | None = None
@@ -248,9 +224,6 @@ class FastGnutellaEngine:
         if not self._use_fastpath:
             return
         previous = self._fastpath
-        if self._delay_rows is None:
-            # The fast path needs the precomputed rows; force the build.
-            self._delay_rows = self.latency.delay_rows()
         arrays = getattr(self.peers, "arrays", None)
         if arrays is not None:
             # Struct-of-arrays population: hand the kernel the live id slab
@@ -262,14 +235,14 @@ class FastGnutellaEngine:
             self._fastpath = FloodFastPath(
                 arrays.out,
                 self._holder_index,
-                self._delay_rows,
+                self.latency.delay_rows(),
                 self.termination.max_hops,
             )
         else:
             self._fastpath = FloodFastPath(
                 AdjacencySnapshot(p.neighbors.outgoing for p in self.peers),
                 self.live_libraries,
-                self._delay_rows,
+                self.latency.delay_rows(),
                 self.termination.max_hops,
             )
         # Per-hop level collection rides the tracer: free when untraced.

@@ -7,42 +7,30 @@ are restricted in the interval [...]" — the interval itself is unreadable in
 the available scan, so the truncation bounds are parameters (default
 mean ± 3 sigma, always clamped above a small positive floor).
 
-Each unordered node pair gets one delay draw, cached lazily, i.e. the network
-latency is static per pair for the lifetime of a simulation — consistent with
-the paper's description of delay as a property of the user pair. Sampling per
-pair (rather than per message) also lets the fast engine compute path delays
+Each unordered node pair gets one delay, i.e. the network latency is static
+per pair for the lifetime of a simulation — consistent with the paper's
+description of delay as a property of the user pair. Sampling per pair
+(rather than per message) also lets the fast engine compute path delays
 analytically.
 
-Because delays are static per run, the whole pairwise table can be
-precomputed: :meth:`LatencyModel.delay_matrix` materializes every pair in one
-vectorized draw (canonical upper-triangle order), after which
-:meth:`~LatencyModel.one_way_delay` becomes a plain table read and
-:meth:`~LatencyModel.delay_rows` hands the flood fast path raw per-row lists
-with no method dispatch at all. The matrix is built lazily (first request)
-and never invalidated.
-
-The precompute is O(n^2): at the paper's 2,000 users it is 32 MB and the
-right call; at 100k it would be a 10^10-entry allocation. Above
-:data:`LAZY_DELAY_NODE_THRESHOLD` nodes the model therefore refuses to
-materialize and switches to *stateless keyed* per-pair draws: each unordered
-pair's delay comes from its own counter-based :class:`numpy.random.Philox`
-stream (keyed once from the model's RNG at construction, counter = the
-pair's canonical index), cached on first touch. Keyed draws make a pair's
-float a pure function of ``(seed, pair)`` — independent of the order pairs
-are first touched — so a fast-path run and a reference run, which touch
-pairs in different orders, still observe identical floats, preserving the
-digest gate at every scale. :meth:`~LatencyModel.delay_rows` then returns a
-lazy row view (``rows[a][b]`` computes through the pair cache) instead of
-list-of-lists. The per-pair *values* differ between the two regimes (same
-truncated-Gaussian distribution, different draw mechanism); the overlay
-evolution does not, because delays never feed back into event scheduling or
-benefit under the delay-independent benefit options — the engine digest
-tests pin a lazy run against an eager run of the same seed.
+A pair's delay is a pure function of ``(seed, pair)``: the model draws one
+64-bit key from its RNG stream at construction, and the pair's canonical
+index ``lo * n + hi`` picks the output of a SplitMix64 stream seeded by that
+key. The output becomes a uniform, the uniform a Gaussian by inverse CDF,
+and the Gaussian is clamped to the truncation interval. No matrix and no
+per-pair generator exist: a delay is computed on first touch and cached in
+per-node row dicts, so memory follows the pairs a run actually touches and
+the floats do not depend on the order pairs are touched in. That is what
+lets a fast-path run and a reference run, which touch pairs in different
+orders, observe identical floats at every population size.
+:meth:`LatencyModel.delay_rows` hands the flood fast path those rows
+(``rows[a][b]`` is a plain dict read once the pair is cached).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -50,14 +38,18 @@ from repro.errors import NetworkError
 from repro.net.bandwidth import CLASS_DELAY_MEAN, BandwidthClass, BandwidthModel
 from repro.types import NodeId
 
-__all__ = ["DelayParameters", "LatencyModel", "LAZY_DELAY_NODE_THRESHOLD"]
+__all__ = ["DelayParameters", "LatencyModel"]
 
-#: Above this many nodes :meth:`LatencyModel.delay_matrix` refuses to
-#: materialize (the n^2 table would dwarf the rest of the simulation) and
-#: per-pair delays switch to stateless keyed draws. 4096 nodes is a 128 MB
-#: float64 matrix plus a ~3x-larger ``tolist`` — the last size where eager
-#: is clearly the better trade.
-LAZY_DELAY_NODE_THRESHOLD = 4096
+_MASK64 = (1 << 64) - 1
+_STANDARD_NORMAL = NormalDist()
+
+
+def _splitmix64(key: int, counter: int) -> int:
+    """Output ``counter`` of the SplitMix64 stream seeded with ``key``."""
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +93,7 @@ class DelayParameters:
 
 
 class LatencyModel:
-    """Lazy, cached per-pair one-way delays.
+    """Keyed, cached per-pair one-way delays.
 
     Parameters
     ----------
@@ -109,15 +101,10 @@ class LatencyModel:
         The per-node access-class assignment; the slower endpoint of a pair
         selects the delay mean.
     rng:
-        Source of randomness. Draws happen on first lookup of each unordered
-        pair; lookups are symmetric (``delay(a, b) == delay(b, a)``).
+        Source of randomness. One draw at construction keys every pair;
+        lookups are symmetric (``delay(a, b) == delay(b, a)``).
     params:
         Distribution parameters; defaults to the paper's values.
-    lazy_threshold:
-        Node count above which the pairwise regime goes lazy (stateless
-        keyed draws, no matrix). ``None`` uses the module default
-        :data:`LAZY_DELAY_NODE_THRESHOLD`; tests pass explicit values to
-        force either regime at any size.
     """
 
     def __init__(
@@ -125,119 +112,28 @@ class LatencyModel:
         bandwidth: BandwidthModel,
         rng: np.random.Generator,
         params: DelayParameters | None = None,
-        *,
-        lazy_threshold: int | None = None,
     ) -> None:
         self.bandwidth = bandwidth
         self.params = params or DelayParameters()
-        self._rng = rng
-        self._cache: dict[int, float] = {}
-        self._means = np.asarray(self.params.means, dtype=float)
         self._n = bandwidth.n_nodes
-        self._matrix: np.ndarray | None = None
-        self._rows: list[list[float]] | None = None
-        if lazy_threshold is None:
-            lazy_threshold = LAZY_DELAY_NODE_THRESHOLD
-        self._pairwise_lazy = self._n > lazy_threshold
-        self._lazy_rows: _LazyDelayRows | None = None
-        # One draw anchors every keyed pair stream to this model's RNG
-        # stream (and therefore to the simulation seed). Drawn eagerly so
-        # the latency stream's consumption is identical no matter which
-        # pairs later get touched.
-        self._philox_key: int | None = None
-        if self._pairwise_lazy:
-            self._philox_key = int(self._rng.integers(0, 2**63, dtype=np.int64))
-
-    def _pair_key(self, a: NodeId, b: NodeId) -> int:
-        lo, hi = (a, b) if a <= b else (b, a)
-        return lo * self._n + hi
+        self._key = int(rng.integers(0, 2**63, dtype=np.int64))
+        self._rows = [_DelayRow(self, NodeId(a)) for a in range(self._n)]
 
     def one_way_delay(self, a: NodeId, b: NodeId) -> float:
         """One-way delay in seconds between ``a`` and ``b`` (symmetric).
 
-        A node's delay to itself is zero (local service). Once the pairwise
-        matrix has been materialized (:meth:`delay_matrix`), every lookup is
-        served from it, so matrix users and per-pair users observe the exact
-        same floats.
+        A node's delay to itself is zero (local service).
         """
-        if a == b:
-            return 0.0
         if not (0 <= a < self._n and 0 <= b < self._n):
             raise NetworkError(f"node ids out of range: {a}, {b} (n={self._n})")
-        if self._rows is not None:
-            return self._rows[a][b]
-        key = self._pair_key(a, b)
-        delay = self._cache.get(key)
-        if delay is None:
-            delay = self._keyed_draw(key) if self._pairwise_lazy else self._draw(a, b)
-            self._cache[key] = delay
-        return delay
+        return self._rows[a][b]
 
-    def delay_matrix(self) -> np.ndarray:
-        """The full symmetric ``n x n`` one-way-delay matrix (seconds).
-
-        Built lazily on first request with one vectorized draw over the
-        upper triangle in canonical ``(a, b), a < b`` order, then never
-        invalidated — delays are static per run. Pairs that were already
-        drawn lazily keep their observed values (the matrix overlays the
-        per-pair cache), so a warm model stays self-consistent. After the
-        build, :meth:`one_way_delay` reads from this table. Treat the
-        returned array as read-only.
-
-        Raises :class:`~repro.errors.NetworkError` in the lazy regime (node
-        count above the threshold): the n^2 allocation is exactly what the
-        lazy mode exists to avoid. Use :meth:`delay_rows` /
-        :meth:`one_way_delay`, which work in both regimes.
-        """
-        if self._pairwise_lazy:
-            raise NetworkError(
-                f"refusing to materialize a {self._n}x{self._n} delay matrix "
-                f"(population above the lazy threshold); use delay_rows() or "
-                f"one_way_delay(), which draw pairs on demand"
-            )
-        if self._matrix is None:
-            n = self._n
-            p = self.params
-            # The slower endpoint of each pair governs the delay mean.
-            slowest = np.minimum.outer(self.bandwidth.classes, self.bandwidth.classes)
-            means = self._means[slowest]
-            if p.std == 0.0:
-                matrix = np.maximum(means, p.floor)
-            else:
-                upper = np.triu_indices(n, k=1)
-                pair_means = means[upper]
-                raw = self._rng.normal(pair_means, p.std)
-                lo = np.maximum(pair_means - p.truncation_sigmas * p.std, p.floor)
-                hi = pair_means + p.truncation_sigmas * p.std
-                matrix = np.zeros((n, n), dtype=float)
-                matrix[upper] = np.clip(raw, lo, hi)
-                matrix = matrix + matrix.T
-            np.fill_diagonal(matrix, 0.0)
-            for key, value in self._cache.items():
-                a, b = divmod(key, n)
-                matrix[a, b] = value
-                matrix[b, a] = value
-            self._matrix = matrix
-            self._rows = matrix.tolist()
-        return self._matrix
-
-    def delay_rows(self) -> "list[list[float]] | _LazyDelayRows":
+    def delay_rows(self) -> "list[_DelayRow]":
         """Indexable ``rows[a][b]`` delays (hot-path view).
 
-        Below the lazy threshold: per-row Python lists of
-        :meth:`delay_matrix` — the exact float ``one_way_delay(a, b)``
-        returns, with zero method dispatch. Above it: a lazy row view whose
-        ``[a][b]`` computes through the keyed per-pair cache (same floats as
-        ``one_way_delay``, materializing only the pairs actually touched).
-        Treat as read-only either way.
+        ``rows[a][b]`` is the exact float :meth:`one_way_delay` returns; a
+        cached pair is a plain dict read. Treat as read-only.
         """
-        if self._pairwise_lazy:
-            if self._lazy_rows is None:
-                self._lazy_rows = _LazyDelayRows(self)
-            return self._lazy_rows
-        if self._rows is None:
-            self.delay_matrix()
-            assert self._rows is not None
         return self._rows
 
     def round_trip(self, a: NodeId, b: NodeId) -> float:
@@ -245,93 +141,45 @@ class LatencyModel:
         return 2.0 * self.one_way_delay(a, b)
 
     def _draw(self, a: NodeId, b: NodeId) -> float:
+        """The pair's truncated-Gaussian delay, from its keyed uniform."""
         p = self.params
-        mean = float(self._means[self.bandwidth.slowest_class(a, b)])
+        mean = p.means[self.bandwidth.slowest_class(a, b)]
         if p.std == 0.0:
             return max(mean, p.floor)
-        raw = self._rng.normal(mean, p.std)
-        lo = max(mean - p.truncation_sigmas * p.std, p.floor)
-        hi = mean + p.truncation_sigmas * p.std
-        return float(min(max(raw, lo), hi))
-
-    def _keyed_draw(self, key: int) -> float:
-        """Stateless per-pair draw for the lazy regime.
-
-        The pair's canonical index seeds a private counter-based Philox
-        stream, so the value is a pure function of ``(model key, pair)`` —
-        two runs that touch pairs in different orders (fast path vs
-        reference) still observe identical floats, which is what keeps the
-        digest gate valid above the matrix threshold. Same truncated
-        Gaussian as :meth:`_draw`, different (order-independent) mechanism.
-        """
-        a, b = divmod(key, self._n)
-        p = self.params
-        mean = float(self._means[self.bandwidth.slowest_class(a, b)])
-        if p.std == 0.0:
-            return max(mean, p.floor)
-        # Each pair gets its own 2^64-block region of the keyed stream.
-        gen = np.random.Generator(
-            np.random.Philox(key=self._philox_key, counter=key << 64)  # repro-lint: disable=R001
-        )
-        raw = float(gen.normal(mean, p.std))
-        lo = max(mean - p.truncation_sigmas * p.std, p.floor)
-        hi = mean + p.truncation_sigmas * p.std
-        return min(max(raw, lo), hi)
-
-    @property
-    def is_lazy(self) -> bool:
-        """Whether the model is in the above-threshold lazy regime."""
-        return self._pairwise_lazy
+        lo, hi = (a, b) if a < b else (b, a)
+        bits = _splitmix64(self._key, lo * self._n + hi)
+        # The top 53 bits, centred in their cell: strictly inside (0, 1).
+        u = ((bits >> 11) + 0.5) * 2.0**-53
+        raw = mean + p.std * _STANDARD_NORMAL.inv_cdf(u)
+        low = max(mean - p.truncation_sigmas * p.std, p.floor)
+        high = mean + p.truncation_sigmas * p.std
+        return min(max(raw, low), high)
 
     @property
     def cached_pairs(self) -> int:
-        """Number of pair delays drawn so far (memory introspection).
-
-        Once the full matrix is materialized every pair is resident.
-        """
-        if self._matrix is not None:
-            return self._n * (self._n - 1) // 2
-        return len(self._cache)
-
-    @property
-    def has_matrix(self) -> bool:
-        """Whether the full pairwise matrix has been materialized."""
-        return self._matrix is not None
+        """Number of pair delays drawn so far (memory introspection)."""
+        return sum(len(row) for row in self._rows) // 2
 
 
-class _LazyDelayRow:
-    """One source's delays, computed per target through the pair cache."""
+class _DelayRow(dict[NodeId, float]):
+    """One node's delays by peer, drawn on first touch.
+
+    A miss draws the pair once and caches it in both endpoints' rows, so
+    the reverse lookup is a hit too.
+    """
 
     __slots__ = ("_model", "_a")
 
     def __init__(self, model: LatencyModel, a: NodeId) -> None:
+        super().__init__()
         self._model = model
         self._a = a
 
-    def __getitem__(self, b: NodeId) -> float:
-        return self._model.one_way_delay(self._a, b)
-
-    def __len__(self) -> int:
-        return self._model.bandwidth.n_nodes
-
-
-class _LazyDelayRows:
-    """``rows[a][b]`` view over a lazy :class:`LatencyModel`.
-
-    Duck-type compatible with the eager list-of-lists where it matters (the
-    flood fast path indexes ``rows[a][b]`` per path edge and takes
-    ``len(rows)`` once at bind time). Rows are materialized as tiny proxy
-    objects per access, never as n-float lists — caching a full row would
-    quietly rebuild the O(n^2) table one source at a time.
-    """
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: LatencyModel) -> None:
-        self._model = model
-
-    def __getitem__(self, a: NodeId) -> _LazyDelayRow:
-        return _LazyDelayRow(self._model, a)
-
-    def __len__(self) -> int:
-        return self._model.bandwidth.n_nodes
+    def __missing__(self, b: NodeId) -> float:
+        a = self._a
+        if b == a:
+            return 0.0
+        delay = self._model._draw(a, b)
+        self[b] = delay
+        self._model._rows[b][a] = delay
+        return delay

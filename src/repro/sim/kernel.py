@@ -207,30 +207,6 @@ class Simulator:
             return time
         return None
 
-    def _step_timed(self, perf: Any) -> float | None:
-        """:meth:`step` with the callback's wall time routed into ``perf``.
-
-        A separate body (rather than a branch inside :meth:`step`) keeps
-        the unprofiled hot path free of per-event overhead. The timing is
-        wall-clock on purpose — it measures the host, never the simulation
-        — and recording happens *after* the callback returns, so the
-        observation cannot affect event order.
-        """
-        if not self._queue:
-            raise SchedulingError("event queue is empty")
-        while self._queue:
-            time, handle = self._queue.pop()
-            if handle.cancelled:
-                continue
-            self._now = time
-            self._events_executed += 1
-            fn = handle.fn
-            t0 = perf_counter()  # repro-lint: disable=R002
-            fn(*handle.args)
-            perf.record(fn, perf_counter() - t0)  # repro-lint: disable=R002
-            return time
-        return None
-
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains, or until the clock reaches ``until``.
 
@@ -248,23 +224,40 @@ class Simulator:
         # Wall-clock on purpose: profiling measures real elapsed time, not
         # simulated time, and never feeds back into the simulation.
         t0 = perf_counter() if profile is not None else 0.0  # repro-lint: disable=R002
+        queue = self._queue
         try:
+            # One entry per iteration, re-checking ``until`` against every
+            # head: a cancelled head is discarded without advancing the
+            # clock, and the live entry behind it must pass the same check.
             if perf is None:
-                while self._queue and not self._stopped:
-                    # Skip over cancelled entries without advancing the clock.
-                    next_time = self._queue.peek_time()
-                    if until is not None and next_time > until:
+                while queue and not self._stopped:
+                    if until is not None and queue.peek_time() > until:
                         break
-                    self.step()
+                    time, handle = queue.pop()
+                    if handle.cancelled:
+                        continue
+                    self._now = time
+                    self._events_executed += 1
+                    handle.fn(*handle.args)
             else:
-                # Identical loop with the per-event timing step: the split
-                # is hoisted out of the loop so the unprofiled path carries
-                # zero extra branches per event.
-                while self._queue and not self._stopped:
-                    next_time = self._queue.peek_time()
-                    if until is not None and next_time > until:
+                # Identical loop that routes each callback's wall time into
+                # ``perf``: the split is hoisted out of the loop so the
+                # unprofiled path carries zero extra branches per event. The
+                # timing measures the host, never the simulation, and is
+                # recorded after the callback returns, so it cannot affect
+                # event order.
+                while queue and not self._stopped:
+                    if until is not None and queue.peek_time() > until:
                         break
-                    self._step_timed(perf)
+                    time, handle = queue.pop()
+                    if handle.cancelled:
+                        continue
+                    self._now = time
+                    self._events_executed += 1
+                    fn = handle.fn
+                    t1 = perf_counter()  # repro-lint: disable=R002
+                    fn(*handle.args)
+                    perf.record(fn, perf_counter() - t1)  # repro-lint: disable=R002
         finally:
             self._running = False
             if profile is not None:

@@ -167,10 +167,9 @@ def generate_libraries(
         fav_count = min(fav_count, catalog.items_per_category)
         remaining = size - fav_count
 
-        items: list[int] = []
         base = fav * catalog.items_per_category
         ranks = catalog.popularity.sample_distinct(rng, fav_count)
-        items.extend(base + ranks)
+        items: list[ItemId] = (base + ranks).tolist()
 
         if cfg.n_secondary > 0 and remaining > 0:
             per_sec = _split_evenly(remaining, cfg.n_secondary)
@@ -180,9 +179,9 @@ def generate_libraries(
                     continue
                 base = int(cat) * catalog.items_per_category
                 ranks = catalog.popularity.sample_distinct(rng, count)
-                items.extend(base + ranks)
+                items.extend((base + ranks).tolist())
 
-        libraries.append(frozenset(ItemId(int(i)) for i in items))
+        libraries.append(frozenset(items))
 
     return UserLibraries(catalog, favorite, secondary, libraries)
 

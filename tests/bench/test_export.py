@@ -26,7 +26,8 @@ def _fake_kernels(log=None):
         "reference_us_per_query": 16.0,
         "speedup": 16.0 / 7.0,
     }
-    report.delay_matrix = {"n_users": 600.0, "seconds": 0.02}
+    report.sample_distinct = {"n": 4000.0, "k": 100.0, "calls": 2000.0, "seconds": 0.05}
+    report.pair_draw = {"n_users": 2000.0, "pairs": 20000.0, "seconds": 0.04}
     return report
 
 

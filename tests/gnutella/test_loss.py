@@ -53,10 +53,15 @@ class TestMessageLoss:
         assert metrics.total_queries > 0  # engine keeps running
 
     def test_dynamic_still_beats_static_under_moderate_loss(self):
-        cfg = lossy_config(0.15, n_users=100, n_items=5000, horizon=6 * HOUR)
-        static = DetailedGnutellaEngine(cfg.as_static()).run()
-        dynamic = DetailedGnutellaEngine(cfg.as_dynamic()).run()
-        assert dynamic.total_hits > static.total_hits
+        # At 100 peers over 6 h the dynamic scheme's edge (about 1-2 % of
+        # hits) is smaller than the spread between worlds: single seeds go
+        # either way. The claim is judged on twelve paired worlds pooled.
+        static_hits = dynamic_hits = 0
+        for seed in range(17, 29):
+            cfg = lossy_config(0.15, n_users=100, n_items=5000, horizon=6 * HOUR, seed=seed)
+            static_hits += DetailedGnutellaEngine(cfg.as_static()).run().total_hits
+            dynamic_hits += DetailedGnutellaEngine(cfg.as_dynamic()).run().total_hits
+        assert dynamic_hits > static_hits
 
     def test_same_seed_loss_run_is_deterministic(self):
         """Two same-config lossy runs in one process produce identical

@@ -6,24 +6,15 @@ a ``soa=True`` engine must emit exactly the same SHA-256-hashed event stream
 as the object-per-peer engine (``fast-aos``) — at the small digest-matrix
 scale and at the paper's 2,000-peer scale, across the figure variants.
 
-The same property gates the two other hot-path rewrites this refactor
-carries:
-
-* incremental ``plan_reconfiguration`` vs the retained full-scan oracle
-  (swapped into the live protocol by monkeypatching), and
-* lazy keyed per-pair delay draws vs the eager delay matrix (forced by
-  lowering ``LAZY_DELAY_NODE_THRESHOLD`` below the population size). The
-  keyed draws produce *different floats* than the matrix draw — digest
-  equality holds because delay values never enter scheduled event
-  arguments, which is precisely the documented digest-gated transition
-  that lets 50k+ runs skip the O(n^2) matrix.
+The same property gates the other hot-path rewrite this refactor carries:
+incremental ``plan_reconfiguration`` vs the retained full-scan oracle
+(swapped into the live protocol by monkeypatching).
 """
 
 import pytest
 
 import repro.gnutella.asymmetric
 import repro.gnutella.protocol
-import repro.net.latency
 from repro.core.update import plan_reconfiguration_full_scan
 from repro.gnutella import FastGnutellaEngine, GnutellaConfig
 from repro.lint.sanitize import run_hashed
@@ -129,24 +120,6 @@ def test_digest_identical_incremental_vs_full_scan_plan(monkeypatch):
     )
     _, full_scan_digest = run_hashed(config, "fast", sanitize=False)
     assert incremental_digest == full_scan_digest
-
-
-def test_digest_identical_lazy_vs_eager_delays(monkeypatch):
-    """Lazy keyed delay draws do not move the event-stream digest.
-
-    The lazy regime's per-pair floats differ from the eager matrix draw, but
-    no scheduled event argument carries a delay, so the digest is invariant —
-    the documented transition that makes digest gating valid at scales where
-    the O(n^2) matrix cannot be built.
-    """
-    config = small_config(dynamic=True)
-    _, eager_digest = run_hashed(config, "fast", sanitize=False)
-    monkeypatch.setattr(repro.net.latency, "LAZY_DELAY_NODE_THRESHOLD", 8)
-    _, lazy_digest = run_hashed(config, "fast", sanitize=False)
-    assert lazy_digest == eager_digest
-    # And under lazy delays the two engine layouts still agree with each other.
-    _, lazy_aos_digest = run_hashed(config, "fast-aos", sanitize=False)
-    assert lazy_aos_digest == eager_digest
 
 
 def test_soa_engine_exposes_arrays():

@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel: scheduling, ordering, run loop."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,6 +120,38 @@ class TestRunLoop:
         # Remaining event still runs on a later resume.
         sim.run()
         assert fired == ["a", "b"]
+
+    def test_run_until_skips_cancelled_head_without_overshooting(self):
+        """A cancelled head must not let the live entry behind it, which
+        lies past ``until``, fire in the same run."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "cancelled").cancel()
+        sim.schedule(5.0, fired.append, "late")
+        sim.run(until=3.0)
+        assert fired == []
+        assert math.isclose(sim.now, 3.0)
+        assert sim.events_executed == 0
+        sim.run()
+        assert fired == ["late"]
+        assert math.isclose(sim.now, 5.0)
+
+    def test_run_until_skips_cancelled_head_with_perf_hook(self):
+        class Perf:
+            def __init__(self):
+                self.calls = []
+
+            def record(self, fn, seconds):
+                self.calls.append(fn)
+
+        sim = Simulator()
+        sim.perf = Perf()
+        fired = []
+        sim.schedule(1.0, fired.append, "cancelled").cancel()
+        sim.schedule(5.0, fired.append, "late")
+        sim.run(until=3.0)
+        assert fired == [] and math.isclose(sim.now, 3.0)
+        assert sim.perf.calls == []
 
     def test_run_until_past_rejected(self):
         sim = Simulator(start_time=5.0)

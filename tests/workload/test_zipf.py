@@ -1,5 +1,7 @@
 """Tests for the bounded Zipf sampler, with scipy's zipfian as the oracle."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -118,3 +120,95 @@ class TestSampleDistinct:
             hits0 += 0 in picks
             hits99 += 99 in picks
         assert hits0 > 2 * hits99
+
+
+def gumbel_top_k(pmf: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
+    """Oracle: weighted sampling without replacement by Gumbel-top-k.
+
+    The argmax of ``log(p) + Gumbel`` noise is a weighted draw; the ``k``
+    largest keys, in descending order, are ``k`` successive draws without
+    replacement. It pays a key per rank on every call, which is why the
+    sampler does not use it.
+    """
+    keys = np.log(pmf) + rng.gumbel(size=pmf.size)
+    top = np.argpartition(keys, pmf.size - k)[pmf.size - k :]
+    return top[np.argsort(keys[top])[::-1]]
+
+
+class _CountingRng:
+    """Passes draws through to a generator and counts the variates drawn."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.variates = 0
+
+    def random(self, size):
+        self.variates += size
+        return self._rng.random(size)
+
+    def standard_exponential(self, size):
+        self.variates += size
+        return self._rng.standard_exponential(size)
+
+
+class TestSampleDistinctLaw:
+    """Successive sampling against the Gumbel-top-k oracle at small n."""
+
+    N_SAMPLES = 20_000
+
+    @classmethod
+    @functools.cache
+    def _tables(cls, n, theta, k):
+        sampler = ZipfSampler(n, theta)
+        rng_ours = np.random.default_rng(101)
+        rng_oracle = np.random.default_rng(202)
+        ours = np.array([sampler.sample_distinct(rng_ours, k) for _ in range(cls.N_SAMPLES)])
+        oracle = np.array(
+            [gumbel_top_k(sampler.pmf, rng_oracle, k) for _ in range(cls.N_SAMPLES)]
+        )
+        return ours, oracle
+
+    @staticmethod
+    def _homogeneity_pvalue(a_values, b_values, n):
+        table = np.array(
+            [np.bincount(a_values, minlength=n), np.bincount(b_values, minlength=n)]
+        )
+        table = table[:, table.sum(axis=0) > 0]
+        return scipy.stats.chi2_contingency(table).pvalue
+
+    # Which path a call takes depends on how much mass its picks hold:
+    # (0.9, 4) stays in the batched draws, (0.9, 10) ends about a quarter
+    # of its calls in the exponential race over the unpicked ranks, and
+    # (1.5, 10) nearly all of them.
+    CASES = [(0.9, 4), (0.9, 10), (1.5, 10)]
+
+    @pytest.mark.parametrize("theta,k", CASES)
+    def test_inclusion_frequencies_match_oracle(self, theta, k):
+        n = 12
+        ours, oracle = self._tables(n, theta, k)
+        assert self._homogeneity_pvalue(ours.ravel(), oracle.ravel(), n) > 1e-3
+
+    @pytest.mark.parametrize("theta,k", CASES)
+    def test_pick_order_matches_oracle(self, theta, k):
+        n = 12
+        ours, oracle = self._tables(n, theta, k)
+        # Joint (position, rank) counts: which rank comes at which pick.
+        positions = np.arange(k) * n
+        assert (
+            self._homogeneity_pvalue((ours + positions).ravel(), (oracle + positions).ravel(), k * n)
+            > 1e-3
+        )
+        # The first pick is a single weighted draw.
+        first_counts = np.bincount(ours[:, 0], minlength=n)
+        expected = ZipfSampler(n, theta).pmf * self.N_SAMPLES
+        assert scipy.stats.chisquare(first_counts, expected).pvalue > 1e-3
+
+    def test_whole_support_at_paper_category_size_is_bounded(self):
+        # 4,000 songs per genre at theta 0.9: drawing every rank by i.i.d.
+        # draws alone would take hundreds of thousands of draws (the rarest
+        # rank has probability below 1e-4).
+        n = 4000
+        rng = _CountingRng(np.random.default_rng(0))
+        picks = ZipfSampler(n, 0.9).sample_distinct(rng, n)
+        assert sorted(picks.tolist()) == list(range(n))
+        assert rng.variates <= 4 * n
