@@ -142,8 +142,8 @@ def _bench_sample_distinct(
 ) -> None:
     """One library draw: ``k`` distinct Zipf(0.9) songs from an ``n``-song genre.
 
-    The paper's genre size and a favorite-genre share of a 200-song library:
-    the call world construction makes six times per user.
+    The paper's genre size and the favorite-genre half of a 200-song
+    library: the largest of the six draws world construction makes per user.
     """
     sampler = ZipfSampler(n, 0.9)
 
@@ -163,7 +163,8 @@ def _bench_sample_distinct(
 
 
 def _bench_pair_draw(report: KernelReport, n_users: int = 2000, pairs: int = 20_000) -> None:
-    """First touches of distinct node pairs: the keyed draw plus its caching."""
+    """First touches of random node pairs (almost all distinct) on a fresh
+    model: the keyed draw plus its caching, as a run pays it per new pair."""
     bandwidth = BandwidthModel(n_users, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     touched = list(zip(rng.integers(0, n_users, pairs).tolist(),
